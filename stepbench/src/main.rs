@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! stepbench --workload star-l3|dist2-l3|amr-l2 --seed N --seconds S --trace 0|1
-//! stepbench --self-test
 //! ```
 //!
 //! `--trace 0` measures the end-to-end metrics from untraced runs of the
@@ -31,14 +30,11 @@ struct Args {
 }
 
 const USAGE: &str = "usage: stepbench --workload star-l3|dist2-l3|amr-l2 \
-                     [--seed N] [--seconds S] [--trace 0|1] | --self-test";
+                     [--seed N] [--seconds S] [--trace 0|1]";
 
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let (mut workload, mut seed, mut seconds, mut trace) = (None, 1, 20, false);
     while let Some(flag) = args.next() {
-        if flag == "--self-test" {
-            return Ok(None);
-        }
         let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
         let number = || {
             value
@@ -59,12 +55,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Args>, St
             _ => return Err(format!("unknown flag {flag:?}")),
         }
     }
-    Ok(Some(Args {
+    Ok(Args {
         workload: workload.ok_or("--workload is required")?,
         seed,
         seconds,
         trace,
-    }))
+    })
 }
 
 fn main() -> ExitCode {
@@ -79,10 +75,6 @@ fn main() -> ExitCode {
         eprintln!("stepbench: harness self-test failed: {e}");
         return ExitCode::FAILURE;
     }
-    let Some(args) = args else {
-        println!("self-test passed: non-finite cells, dt <= 0 and mass drift count as failures");
-        return ExitCode::SUCCESS;
-    };
 
     let w = args.workload;
     let mut out: Outcome = if args.trace {

@@ -2,7 +2,7 @@
 //! order statistics, and the metric list the result line is printed from.
 
 /// SplitMix64: a tiny, well-mixed 64-bit generator. The benchmark derives
-/// every seed-dependent input (regrid victims, replay payload order) from
+/// every seed-dependent input (the `amr-l2` regrid victims) from
 /// it, so the same `--seed` always gives the same inputs.
 pub struct SplitMix64(u64);
 

@@ -9,19 +9,19 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use amt::{Runtime, RuntimeStats, WorkerStats};
+use apex_lite::critpath;
 use apex_lite::trace::{self, Trace};
-use apex_lite::{critpath, CounterValue};
 use distrib::{Cluster, ClusterConfig, CoalesceConfig, LocalityHandle};
 use octotiger::gravity::{
     CacheStats, MONOPOLE_FLOPS_PER_INTERACTION, MULTIPOLE_FLOPS_PER_INTERACTION,
 };
 use octotiger::hydro::{HYDRO_BYTES_PER_CELL, HYDRO_FLOPS_PER_CELL};
-use octotiger::{DistRun, Driver, WorkEstimate};
+use octotiger::{DistMetrics, DistRun, Driver, WorkEstimate};
 use rv_machine::NetBackend;
 
 use crate::check::check_step;
 use crate::probe::{self, Probe};
-use crate::stats::{median, quantile, ratio, Metrics, SplitMix64};
+use crate::stats::{median, quantile, ratio, Metrics};
 use crate::workload::{
     check_dist, guarded, DistReference, Outcome, Round, Victims, Workload, WORKERS,
 };
@@ -114,10 +114,42 @@ struct DriverLeg {
     batch_size_avg: f64,
     stage_pool_hit_ratio: f64,
     overlap_ratio: f64,
+    counters: StepCounters,
+    leaves_refined: u64,
+}
+
+/// Scheduler and per-worker counters summed over the driver's `step`
+/// calls alone, from snapshots taken around each call, so that the
+/// regrid sweeps and the output checks between steps are not counted. A
+/// park still open at a snapshot is charged when it ends, at most 0.5 ms
+/// later.
+#[derive(Default)]
+struct StepCounters {
     rt: RuntimeStats,
     workers: Vec<WorkerStats>,
-    timed_s: f64,
-    leaves_refined: u64,
+    wall_s: f64,
+}
+
+impl StepCounters {
+    /// Run `f`, add the counters it accrued, return its result and wall
+    /// time in seconds.
+    fn around<T>(&mut self, rt: &Runtime, f: impl FnOnce() -> T) -> (T, f64) {
+        let (s0, w0) = (rt.stats(), rt.worker_stats());
+        let t = Instant::now();
+        let out = f();
+        let wall_s = t.elapsed().as_secs_f64();
+        let (s1, w1) = (rt.stats(), rt.worker_stats());
+        self.wall_s += wall_s;
+        self.rt.tasks_executed += s1.tasks_executed - s0.tasks_executed;
+        self.rt.steals += s1.steals - s0.steals;
+        self.rt.parks += s1.parks - s0.parks;
+        self.workers.resize(w1.len(), WorkerStats::default());
+        for (acc, (a, b)) in self.workers.iter_mut().zip(w0.iter().zip(&w1)) {
+            acc.busy_ns += b.busy_ns - a.busy_ns;
+            acc.park_ns += b.park_ns - a.park_ns;
+        }
+        (out, wall_s)
+    }
 }
 
 fn driver_leg(
@@ -137,21 +169,16 @@ fn driver_leg(
     let mut victims = Victims::new(w, seed);
     let mut leaves_refined = 0;
     let mut step_ms = Vec::new();
-    rt.reset_stats();
-    let t_all = Instant::now();
+    let mut counters = StepCounters::default();
     for step in 0..w.steps() {
         if let Some(v) = victims.before_step(step, driver.tree()) {
             leaves_refined += driver.regrid(rt, &v).leaves_refined as u64;
         }
-        let t = Instant::now();
-        let dt = driver.step(rt);
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        step_ms.push(ms);
+        let (dt, wall_s) = counters.around(rt, || driver.step(rt));
+        step_ms.push(wall_s * 1e3);
         let check = check_step(driver.tree(), dt, mass0, w.drift_bound());
-        round.record(driver.tree().cell_count(), ms / 1e3, dt, check);
+        round.record(driver.tree().cell_count(), wall_s, dt, check);
     }
-    let timed_s = t_all.elapsed().as_secs_f64();
-    let (rt_stats, workers) = (rt.stats(), rt.worker_stats());
     let (work1, cache1) = (driver.work(), driver.cache_stats());
     let (agg1, pool1) = (driver.aggregation_stats(), driver.stage_pool_stats());
     let pool_hits = pool1.hits - pool0.hits;
@@ -183,9 +210,7 @@ fn driver_leg(
         ),
         stage_pool_hit_ratio: ratio(pool_hits as f64, (pool_hits + pool_misses) as f64),
         overlap_ratio: driver.overlap_ratio(),
-        rt: rt_stats,
-        workers,
-        timed_s,
+        counters,
         leaves_refined,
         driver,
     }
@@ -262,58 +287,97 @@ struct DistLeg {
     imbalance: f64,
 }
 
-fn dist_leg(w: Workload, reference: &DistReference, round: &mut Round) -> DistLeg {
-    let m = DistRun::execute(w.dist());
-    let steps = f64::from(m.steps);
+/// Busy and parked nanoseconds of every worker of every locality, from
+/// the run's `/runtime/locality{i}/worker{n}/{busy,park}_ns` counters.
+fn dist_workers(m: &DistMetrics) -> BTreeMap<&str, WorkerStats> {
+    let mut out: BTreeMap<&str, WorkerStats> = BTreeMap::new();
+    for (path, v) in m.counters.iter() {
+        if !path.starts_with("/runtime/locality") {
+            continue;
+        }
+        let ns = v.as_f64() as u64;
+        if let Some(worker) = path.strip_suffix("/busy_ns") {
+            out.entry(worker).or_default().busy_ns = ns;
+        } else if let Some(worker) = path.strip_suffix("/park_ns") {
+            out.entry(worker).or_default().park_ns = ns;
+        }
+    }
+    out
+}
+
+fn checked_dist_run(
+    w: Workload,
+    steps: usize,
+    reference: &DistReference,
+    round: &mut Round,
+) -> DistMetrics {
+    let mut cfg = w.dist();
+    cfg.octo.stop_step = steps as u32;
+    let m = DistRun::execute(cfg);
     round.attempted += u64::from(m.steps);
     if let Err(e) = check_dist(&m, reference) {
         round.failed += u64::from(m.steps);
         round.failure.get_or_insert(e);
     }
-    let latency = m
+    m
+}
+
+/// `DistRun`'s counters run from cluster start to after the final flush,
+/// so they include the domain build, the cold first step and the flush.
+/// A run of 2N steps less a run of N leaves N warm steps alone: every
+/// per-step figure here is that difference over N.
+fn dist_leg(w: Workload, reference: &DistReference, round: &mut Round) -> DistLeg {
+    let short = checked_dist_run(w, w.steps(), reference, round);
+    let long = checked_dist_run(w, 2 * w.steps(), reference, round);
+    let n = f64::from(long.steps - short.steps);
+    let per_step = |f: &dyn Fn(&DistMetrics) -> u64| (f(&long) as f64 - f(&short) as f64) / n;
+    let (w0, w1) = (dist_workers(&short), dist_workers(&long));
+    let workers: Vec<WorkerStats> = w1
+        .iter()
+        .map(|(name, b)| {
+            let a = w0.get(name).copied().unwrap_or_default();
+            WorkerStats {
+                busy_ns: b.busy_ns.saturating_sub(a.busy_ns),
+                park_ns: b.park_ns.saturating_sub(a.park_ns),
+                ..WorkerStats::default()
+            }
+        })
+        .collect();
+    let park_s: f64 = workers.iter().map(|s| s.park_ns as f64 / 1e9).sum();
+    let wall_s = long.elapsed_seconds - short.elapsed_seconds;
+    let latency = long
         .counters
         .histogram("/comms/parcel_latency")
         .unwrap_or_default();
-    let worker_sum = |suffix: &str| -> f64 {
-        m.counters
-            .iter()
-            .filter(|(p, _)| p.starts_with("/runtime/locality") && p.ends_with(suffix))
-            .map(|(_, v)| v.as_f64())
-            .sum()
-    };
-    let workers = m.nodes as f64 * w.dist().threads_per_node as f64;
-    let owned: Vec<f64> = m.owned_per_node.iter().map(|&o| o as f64).collect();
+    let owned: Vec<f64> = long.owned_per_node.iter().map(|&o| o as f64).collect();
     let owned_mean = owned.iter().sum::<f64>() / owned.len() as f64;
     DistLeg {
-        messages_per_step: m.net.messages as f64 / steps,
-        bytes_per_step: m.net.bytes as f64 / steps,
-        parcels_per_step: m.port.parcels as f64 / steps,
-        queue_depth_hwm: m.port.queue_depth_hwm as f64,
+        messages_per_step: per_step(&|m| m.net.messages),
+        bytes_per_step: per_step(&|m| m.net.bytes),
+        parcels_per_step: per_step(&|m| m.port.parcels),
+        queue_depth_hwm: long.port.queue_depth_hwm as f64,
         latency_p50_us: latency.quantile(0.5) as f64 / 1e3,
         latency_p99_us: latency.quantile(0.99) as f64 / 1e3,
         owned_imbalance: ratio(owned.iter().copied().fold(0.0, f64::max), owned_mean),
-        tasks_per_step: m.runtime_stats.tasks_executed as f64 / steps,
-        steals_per_step: m.runtime_stats.steals as f64 / steps,
-        parks_per_step: m.runtime_stats.parks as f64 / steps,
-        park_ms: worker_sum("/park_ns") / steps / 1e6,
-        busy_frac: 1.0 - ratio(worker_sum("/park_ns") / 1e9, workers * m.elapsed_seconds),
-        imbalance: match m.counters.get("/runtime/imbalance") {
-            Some(CounterValue::Gauge(g)) => g,
-            _ => 0.0,
-        },
+        tasks_per_step: per_step(&|m| m.runtime_stats.tasks_executed),
+        steals_per_step: per_step(&|m| m.runtime_stats.steals),
+        parks_per_step: per_step(&|m| m.runtime_stats.parks),
+        park_ms: park_s * 1e3 / n,
+        busy_frac: 1.0 - ratio(park_s, workers.len() as f64 * wall_s),
+        imbalance: amt::imbalance(&workers),
     }
 }
 
 /// Replay of the measured per-step traffic on a fresh 2-locality TCP
-/// cluster: per step, `messages / 2` echo invocations whose payloads
-/// average the measured bytes per message, in a seed-shuffled order.
+/// cluster: per step, `messages / 2` echo invocations, each carrying the
+/// measured mean bytes per message there and back.
 struct WireLeg {
     invoke_us: Vec<f64>,
     step_ms: Vec<f64>,
     serialize_gbs: f64,
 }
 
-fn wire_leg(seed: u64, messages_per_step: f64, bytes_per_step: f64) -> WireLeg {
+fn wire_leg(messages_per_step: f64, bytes_per_step: f64) -> WireLeg {
     let cluster = Cluster::new(ClusterConfig {
         localities: 2,
         threads_per_locality: WORKERS / 2,
@@ -325,29 +389,19 @@ fn wire_leg(seed: u64, messages_per_step: f64, bytes_per_step: f64) -> WireLeg {
     let origin = cluster.locality(0);
     let invokes = ((messages_per_step / 2.0).round() as usize).max(1);
     let mean_values = ratio(bytes_per_step, messages_per_step * 8.0).max(1.0);
-    // Three payload sizes around the mean: 0.5×, 1×, 1.5×.
-    let sizes: Vec<usize> = (0..invokes)
-        .map(|i| (mean_values * (0.5 + 0.5 * (i % 3) as f64)).round() as usize)
-        .collect();
-    let mut rng = SplitMix64::new(seed);
+    let payload = vec![0.5f64; mean_values.round() as usize];
     let mut invoke_us = Vec::new();
     let mut step_ms = Vec::new();
     for _ in 0..REPLAY_STEPS {
-        let mut order = sizes.clone();
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.below(i + 1));
-        }
-        let payloads: Vec<Vec<f64>> = order.iter().map(|&n| vec![0.5; n]).collect();
         let t = Instant::now();
-        for p in &payloads {
+        for _ in 0..invokes {
             let ti = Instant::now();
-            let back: Vec<f64> = origin.invoke(target, "echo", p).get();
+            let back: Vec<f64> = origin.invoke(target, "echo", &payload).get();
             invoke_us.push(ti.elapsed().as_secs_f64() * 1e6);
-            assert_eq!(back.len(), p.len(), "echo returned the payload");
+            assert_eq!(back.len(), payload.len(), "echo returned the payload");
         }
         step_ms.push(t.elapsed().as_secs_f64() * 1e3);
     }
-    let payload = vec![0.5f64; mean_values as usize];
     let mut bytes = 0u64;
     let t = Instant::now();
     while t.elapsed() < Duration::from_millis(200) {
@@ -403,14 +457,15 @@ fn round_values(
             d.imbalance,
         ],
         None => {
-            let park: f64 = fut.workers.iter().map(|s| s.park_ns as f64).sum();
+            let c = &fut.counters;
+            let park: f64 = c.workers.iter().map(|s| s.park_ns as f64).sum();
             [
-                per_step(fut.rt.tasks_executed),
-                per_step(fut.rt.steals),
-                per_step(fut.rt.parks),
+                per_step(c.rt.tasks_executed),
+                per_step(c.rt.steals),
+                per_step(c.rt.parks),
                 park / 1e6 / k,
-                1.0 - ratio(park / 1e9, fut.workers.len() as f64 * fut.timed_s),
-                amt::imbalance(&fut.workers),
+                1.0 - ratio(park / 1e9, c.workers.len() as f64 * c.wall_s),
+                amt::imbalance(&c.workers),
             ]
         }
     };
@@ -615,14 +670,16 @@ pub fn per_layer(w: Workload, seed: u64, seconds: u64) -> Outcome {
         let r0 = Instant::now();
         let first = rounds.is_empty();
         let mut values = None;
-        let steps = 3 * w.steps() + if reference.is_some() { w.steps() } else { 0 };
+        // Three legs of `steps()`, and on `dist2-l3` two runs of 1× and 2×.
+        let legs = if reference.is_some() { 6 } else { 3 };
+        let steps = legs * w.steps();
         let ok = guarded(steps, &mut record, |round| {
             let fut = driver_leg(w, seed, true, &rt, round);
             let bar = driver_leg(w, seed, false, &rt, round);
             let pl = probe_leg(w, seed, &rt, first.then_some(&mut kept), round);
             let dist = reference.as_ref().map(|r| {
                 let d = dist_leg(w, r, round);
-                let wire = wire_leg(seed, d.messages_per_step, d.bytes_per_step);
+                let wire = wire_leg(d.messages_per_step, d.bytes_per_step);
                 (d, wire)
             });
             values = Some(round_values(
