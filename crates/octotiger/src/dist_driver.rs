@@ -2,24 +2,30 @@
 //! star on the two-board VisionFive2 cluster, one locality per board with
 //! all four cores, comparing the TCP and MPI parcelports (Fig. 8).
 //!
-//! Decomposition: each locality holds a replica of the octree *structure*
-//! but **owns** the leaves on its side of the x = 0 plane (supervisor:
-//! x < 0, delegate: x ≥ 0, mirroring the paper's supervisor/delegate
-//! command lines of Listings 2–3). Per step the localities exchange
+//! This module is wiring, not a second engine. Each locality's domain
+//! component holds a node-level [`Driver`] over a replica of the whole
+//! octree, but **owns** only the leaves on its side of the x = 0 plane
+//! (supervisor: x < 0, delegate: x ≥ 0, mirroring the paper's
+//! supervisor/delegate command lines of Listings 2–3). Per step the actions
+//! run the driver's barriered phases over the owned leaves — so the
+//! `--*_host_tasks` batch sizes apply, while `--futurize` does not — with
+//! three exchanges in between:
 //!
 //! 1. **halo leaves** — the full interior state of owned leaves that touch
-//!    remotely owned ones (so ghost fill stays local),
-//! 2. the **CFL reduction** (a small scalar message),
-//! 3. **gravity blocks** — each side's P2M results, so both can run the
-//!    same FMM over the complete mass distribution while computing
+//!    remotely owned ones, pulled before the ghost exchange (so ghost fill
+//!    stays local),
+//! 2. the **CFL reduction** — each locality's max rate, reduced to the
+//!    global `dt` by the supervisor,
+//! 3. **gravity blocks** — each side's P2M results, so both run the same
+//!    FMM over the complete mass distribution while computing
 //!    accelerations only for their own leaves.
 //!
 //! Every payload crosses the `distrib` wire as real serialized bytes, so
 //! the Fig. 8 projection consumes *measured* message counts and volumes.
+//! Owned leaves end every step bitwise equal to a node-level run.
 
 use serde::{Deserialize, Serialize};
 
-use amt::par::scope;
 use apex_lite::trace::{self, Cat};
 use apex_lite::{CounterRegistry, CounterSnapshot};
 use distrib::{
@@ -28,19 +34,10 @@ use distrib::{
 use rv_machine::NetBackend;
 
 use crate::config::OctoConfig;
-use crate::driver::WorkEstimate;
-use crate::gravity::{
-    self, BlockSoA, GravityKernels, GravityWorkspace, InteractionCache, ScratchPool, BLOCKS,
-};
-use crate::hydro;
-use crate::kernel_backend::Dispatch;
-use crate::octree::{NodeId, Octree};
-use crate::recycle::RecyclePool;
-use crate::star::RotatingStar;
-use crate::subgrid::Face;
-
-/// Ghost data gathered for one leaf: one boundary slab per face.
-type FaceSlabs = Vec<(Face, Vec<f64>)>;
+use crate::driver::{Driver, RunHarness, StageSlot, WorkEstimate};
+use crate::gravity::BlockSoA;
+use crate::octree::NodeId;
+use crate::subgrid::{Face, CELLS};
 
 /// Configuration of a distributed run. (`Clone` but not `Copy`: the
 /// embedded [`OctoConfig`] carries the heap-allocated trace-output path.)
@@ -124,30 +121,22 @@ pub struct DistMetrics {
     pub counter_samples: u64,
 }
 
-/// Per-locality domain component.
+/// Per-locality domain component: a node-level driver plus what the
+/// exchanges stage between actions.
 struct Domain {
-    tree: Octree,
-    cfg: OctoConfig,
-    /// Ownership flag per leaf position.
-    owned: Vec<bool>,
+    driver: Driver,
+    /// Owned leaves, leaf order.
+    owned: Vec<NodeId>,
+    /// Leaf positions of `owned`.
+    owned_pos: Vec<usize>,
     /// Leaf positions whose data must be shipped to the peer.
     halo_out: Vec<usize>,
     /// Snapshot staged for the peer's halo pull.
     halo_snapshot: Vec<(u64, Vec<f64>)>,
     /// Own leaves' blocks (leaf position → wire blocks), staged for pull.
     blocks_snapshot: Vec<(u64, BlocksWire)>,
-    /// Recycled gravity solve state (moments table, traversal order).
-    gravity_ws: GravityWorkspace,
-    /// Cross-step interaction-list cache keyed on tree topology.
-    interaction_cache: InteractionCache,
-    /// Per-worker gravity scratch buffers.
-    scratch: ScratchPool,
-    /// Recycled per-leaf hydro output buffers.
-    state_pool: RecyclePool<[f64; crate::star::NF]>,
-    /// Recycled SoA primitive staging buffers for the SIMD hydro path.
-    stage_pool: RecyclePool<f64>,
-    /// Work counters.
-    work: WorkEstimate,
+    /// Hydro stages the CFL phase built, consumed by the solve.
+    stages: Vec<StageSlot>,
 }
 
 /// Serializable form of [`BlockSoA`] — the SoA lanes go on the wire as four
@@ -182,22 +171,14 @@ impl From<&BlocksWire> for BlockSoA {
     }
 }
 
-/// Report returned by the solve phase.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct StepReport {
-    owned_cells: u64,
-    far_interactions: u64,
-    near_interactions: u64,
-    hydro_flops: u64,
-    gravity_flops: u64,
-    bytes: u64,
-    mac_evals: u64,
-}
+/// Reply of `solve_step`: the locality's work for the step as its driver
+/// billed it — cells stepped, far and near interactions, hydro and gravity
+/// flops, bytes, MAC evaluations.
+type StepReceipt = [u64; 7];
 
 fn build_domain(cfg: OctoConfig, node: u32, nodes: u32) -> Domain {
-    let star = RotatingStar::paper_default();
-    let tree = Octree::build(&star, &cfg, 1.0);
-    let n_leaves = tree.leaf_count();
+    let mut driver = Driver::new(cfg);
+    let tree = driver.tree();
     // Spatial split at x = 0 (supervisor keeps x < 0).
     let owned: Vec<bool> = tree
         .leaf_ids()
@@ -215,65 +196,42 @@ fn build_domain(cfg: OctoConfig, node: u32, nodes: u32) -> Domain {
             }
         })
         .collect();
-    // Halo: owned leaves with a face neighbour owned by the peer.
-    let leaf_pos = gravity::leaf_positions(&tree);
+    // Leaves with a face neighbour on the other side of the split: owned
+    // ones are this side's halo; remote ones arrive as the peer's halo.
+    // The ghost exchange reads no other remote leaf, so the replica frees
+    // those leaves' field data.
+    let leaf_pos = crate::gravity::leaf_positions(tree);
     let mut halo_out = Vec::new();
+    let mut unread = Vec::new();
     for (pos, &leaf) in tree.leaf_ids().iter().enumerate() {
-        if !owned[pos] {
-            continue;
-        }
-        let node_ref = tree.node(leaf);
-        let mut boundary = false;
-        for face in Face::ALL {
-            // Probe across the face; any neighbouring leaf owned remotely
-            // makes this a halo leaf. Sampling covers level jumps.
-            let (origin, dxc) = tree.node_geometry(leaf);
-            let size = tree.node_size(node_ref.level);
-            let mut p = [
-                origin[0] + size / 2.0,
-                origin[1] + size / 2.0,
-                origin[2] + size / 2.0,
-            ];
+        let (origin, dxc) = tree.node_geometry(leaf);
+        let size = tree.node_size(tree.node(leaf).level);
+        let boundary = Face::ALL.into_iter().any(|face| {
+            // Probe across the face; sampling covers level jumps.
+            let mut p = origin.map(|o| o + size / 2.0);
             p[face.axis()] += face.sign() as f64 * (size / 2.0 + dxc / 2.0);
-            if p[face.axis()].abs() >= 1.0 {
-                continue;
-            }
-            let (nl, _) = tree.locate(p);
-            if !owned[leaf_pos[nl]] {
-                boundary = true;
-                break;
-            }
-        }
-        if boundary {
-            halo_out.push(pos);
+            p[face.axis()].abs() < 1.0 && owned[leaf_pos[tree.locate(p).0]] != owned[pos]
+        });
+        match (owned[pos], boundary) {
+            (true, true) => halo_out.push(pos),
+            (false, false) => unread.push(leaf),
+            _ => {}
         }
     }
-    assert_eq!(n_leaves, owned.len());
+    let owned_pos: Vec<usize> = (0..owned.len()).filter(|&p| owned[p]).collect();
+    let owned = owned_pos.iter().map(|&p| tree.leaf_ids()[p]).collect();
+    for leaf in unread {
+        driver.tree_mut().release_subgrid(leaf);
+    }
     Domain {
-        tree,
-        cfg,
         owned,
+        owned_pos,
         halo_out,
         halo_snapshot: Vec::new(),
         blocks_snapshot: Vec::new(),
-        gravity_ws: GravityWorkspace::new(),
-        interaction_cache: InteractionCache::new(),
-        scratch: ScratchPool::new(),
-        state_pool: RecyclePool::new(),
-        stage_pool: RecyclePool::new(),
-        work: WorkEstimate::default(),
+        stages: Vec::new(),
+        driver,
     }
-}
-
-fn owned_leaves(domain: &Domain) -> Vec<(usize, NodeId)> {
-    domain
-        .tree
-        .leaf_ids()
-        .iter()
-        .enumerate()
-        .filter(|(pos, _)| domain.owned[*pos])
-        .map(|(pos, &l)| (pos, l))
-        .collect()
 }
 
 /// Register all domain actions on `cluster`.
@@ -281,12 +239,13 @@ fn register_actions(cluster: &Cluster) {
     // Stage the halo snapshot (owned boundary leaves' interior data).
     cluster.register_action("prepare_halo", |ctx: &LocalityHandle, gid, (): ()| -> u64 {
         ctx.with_component::<Domain, _>(gid, |d| {
+            let tree = d.driver.tree();
             d.halo_snapshot = d
                 .halo_out
                 .iter()
                 .map(|&pos| {
-                    let leaf = d.tree.leaf_ids()[pos];
-                    (pos as u64, d.tree.subgrid(leaf).interior_data())
+                    let leaf = tree.leaf_ids()[pos];
+                    (pos as u64, tree.subgrid(leaf).interior_data())
                 })
                 .collect();
             d.halo_snapshot.len() as u64
@@ -310,9 +269,10 @@ fn register_actions(cluster: &Cluster) {
             let Some(peer) = peer else { return 0 };
             let halo: Vec<(u64, Vec<f64>)> = ctx.invoke(peer, "get_halo", &()).get();
             ctx.with_component::<Domain, _>(gid, |d| {
+                let tree = d.driver.tree_mut();
                 for (pos, data) in &halo {
-                    let leaf = d.tree.leaf_ids()[*pos as usize];
-                    d.tree.subgrid_mut(leaf).set_interior_data(data);
+                    let leaf = tree.leaf_ids()[*pos as usize];
+                    tree.subgrid_mut(leaf).set_interior_data(data);
                 }
                 halo.len() as u64
             })
@@ -320,59 +280,15 @@ fn register_actions(cluster: &Cluster) {
         },
     );
 
-    // Ghost fill + local CFL reduction: max(signal speed / dx) over owned
-    // leaves.
+    // Ghost exchange + CFL over owned leaves: the local max rate.
     cluster.register_action(
         "local_max_rate",
         |ctx: &LocalityHandle, gid, (): ()| -> f64 {
             let handle = ctx.runtime();
             ctx.with_component::<Domain, _>(gid, |d| {
-                let targets = owned_leaves(d);
-                // Parallel gather of ghost data, serial apply.
-                let gathered: Vec<(NodeId, FaceSlabs)> = {
-                    let tree = &d.tree;
-                    let slots: Vec<std::sync::Mutex<FaceSlabs>> = (0..targets.len())
-                        .map(|_| std::sync::Mutex::new(Vec::new()))
-                        .collect();
-                    scope(&handle, |sc| {
-                        for (slot, &(_, leaf)) in slots.iter().zip(&targets) {
-                            sc.spawn(move || {
-                                let data: FaceSlabs = Face::ALL
-                                    .into_iter()
-                                    .map(|f| (f, tree.ghost_data_for(leaf, f)))
-                                    .collect();
-                                *slot.lock().unwrap() = data;
-                            });
-                        }
-                    });
-                    targets
-                        .iter()
-                        .zip(slots)
-                        .map(|(&(_, leaf), slot)| (leaf, slot.into_inner().unwrap()))
-                        .collect()
-                };
-                for (leaf, faces) in gathered {
-                    for (face, data) in faces {
-                        d.tree.apply_ghost(leaf, face, &data);
-                    }
-                }
-                // Ghost-path accounting (values per face slab: NF × NG × NX²).
-                let slab_values = (crate::star::NF * crate::subgrid::NG * 8 * 8) as u64;
-                for (_, leaf) in owned_leaves(d) {
-                    for face in Face::ALL {
-                        if d.tree.ghost_fast_path(leaf, face) {
-                            d.work.ghost_slab_bytes += slab_values * 8;
-                        } else {
-                            d.work.ghost_samples += slab_values;
-                        }
-                    }
-                }
-                let dispatch = Dispatch::new(d.cfg.hydro_kernel, &handle, 4);
-                let mut max_rate = 1e-30_f64;
-                for (_, leaf) in owned_leaves(d) {
-                    let g = d.tree.subgrid(leaf);
-                    max_rate = max_rate.max(hydro::max_signal_speed(g, &dispatch) / g.dx);
-                }
+                d.driver.exchange_ghosts(&handle, &d.owned);
+                let (max_rate, stages) = d.driver.cfl_phase(&handle, &d.owned);
+                d.stages = stages;
                 max_rate
             })
             .expect("domain component")
@@ -383,13 +299,14 @@ fn register_actions(cluster: &Cluster) {
     cluster.register_action(
         "prepare_blocks",
         |ctx: &LocalityHandle, gid, (): ()| -> u64 {
+            let handle = ctx.runtime();
             ctx.with_component::<Domain, _>(gid, |d| {
-                d.blocks_snapshot = owned_leaves(d)
-                    .into_iter()
-                    .map(|(pos, leaf)| {
-                        let b = gravity::compute_blocks(d.tree.subgrid(leaf));
-                        (pos as u64, BlocksWire::from(&b))
-                    })
+                let blocks = d.driver.p2m_phase(&handle, &d.owned);
+                d.blocks_snapshot = d
+                    .owned_pos
+                    .iter()
+                    .zip(&blocks)
+                    .map(|(&pos, b)| (pos as u64, BlocksWire::from(b)))
                     .collect();
                 d.blocks_snapshot.len() as u64
             })
@@ -405,11 +322,11 @@ fn register_actions(cluster: &Cluster) {
         },
     );
 
-    // Pull peer blocks, run gravity (FMM over the complete mass
-    // distribution) and hydro for owned leaves, apply.
+    // Pull peer blocks, then the back half of the step over owned leaves:
+    // gravity (FMM over the complete mass distribution), hydro, apply.
     cluster.register_action(
         "solve_step",
-        |ctx: &LocalityHandle, gid, (dt, peer): (f64, Option<Gid>)| -> StepReport {
+        |ctx: &LocalityHandle, gid, (dt, peer): (f64, Option<Gid>)| -> StepReceipt {
             // Pull strictly *before* taking the component lock: the peer's
             // `get_blocks` needs its own lock, and both sides solving at
             // once must not deadlock.
@@ -419,147 +336,31 @@ fn register_actions(cluster: &Cluster) {
             };
             let handle = ctx.runtime();
             ctx.with_component::<Domain, _>(gid, |d| {
-                solve_step_locked(d, &handle, dt, &peer_blocks)
+                let mut blocks: Vec<BlockSoA> = (0..d.driver.tree().leaf_count())
+                    .map(|_| BlockSoA::zero())
+                    .collect();
+                for (pos, w) in d.blocks_snapshot.iter().chain(&peer_blocks) {
+                    blocks[*pos as usize] = BlockSoA::from(w);
+                }
+                let before = d.driver.work();
+                let stages = std::mem::take(&mut d.stages);
+                let (accels, report) = d.driver.gravity_phase(&handle, &d.owned, &blocks);
+                d.driver
+                    .hydro_phase(&handle, &d.owned, stages, dt, &accels, report);
+                let w = d.driver.work();
+                [
+                    (d.owned.len() * CELLS) as u64,
+                    w.far_interactions - before.far_interactions,
+                    w.near_interactions - before.near_interactions,
+                    w.hydro_flops - before.hydro_flops,
+                    w.gravity_flops - before.gravity_flops,
+                    w.bytes - before.bytes,
+                    w.mac_evals - before.mac_evals,
+                ]
             })
             .expect("domain component")
         },
     );
-}
-
-struct LeafOut {
-    leaf: NodeId,
-    acc: Vec<[f64; 3]>,
-    state: Vec<[f64; crate::star::NF]>,
-    far: u64,
-    near: u64,
-}
-
-fn solve_step_locked(
-    d: &mut Domain,
-    handle: &amt::Handle,
-    dt: f64,
-    peer_blocks: &[(u64, BlocksWire)],
-) -> StepReport {
-    let n = d.tree.leaf_count();
-    // Assemble the global block table: own + peer.
-    let mut all_blocks: Vec<Option<BlockSoA>> = (0..n).map(|_| None).collect();
-    for (pos, w) in &d.blocks_snapshot {
-        all_blocks[*pos as usize] = Some(BlockSoA::from(w));
-    }
-    for (pos, w) in peer_blocks {
-        all_blocks[*pos as usize] = Some(BlockSoA::from(w));
-    }
-    let blocks: Vec<BlockSoA> = all_blocks
-        .into_iter()
-        .map(|b| b.unwrap_or_else(BlockSoA::zero))
-        .collect();
-    d.gravity_ws.upward_pass(&d.tree, &blocks);
-    if !d.cfg.use_interaction_cache {
-        d.interaction_cache.invalidate();
-    }
-    let rebuilt = d
-        .interaction_cache
-        .ensure(&d.tree, &d.gravity_ws.moments, d.cfg.theta)
-        .rebuilt;
-    let multipole = Dispatch::new(d.cfg.multipole_kernel, handle, 4);
-    let monopole = Dispatch::new(d.cfg.monopole_kernel, handle, 4);
-    let hydro_d = Dispatch::new(d.cfg.hydro_kernel, handle, 4);
-    let targets = owned_leaves(d);
-
-    // Parallel kernels over owned leaves.
-    let mut results: Vec<Option<LeafOut>> = (0..targets.len()).map(|_| None).collect();
-    {
-        let tree = &d.tree;
-        let blocks = &blocks;
-        let ws = &d.gravity_ws;
-        let lists = d.interaction_cache.lists();
-        let scratch_pool = &d.scratch;
-        let kernels = GravityKernels {
-            multipole: &multipole,
-            monopole: &monopole,
-            simd: d.cfg.simd_policy(),
-        };
-        let kernels = &kernels;
-        let hydro_d = &hydro_d;
-        let policy = d.cfg.simd_policy();
-        let state_pool = &d.state_pool;
-        let stage_pool = &d.stage_pool;
-        scope(handle, |sc| {
-            for (slot, &(_, leaf)) in results.iter_mut().zip(&targets) {
-                sc.spawn(move || {
-                    let (far, near) = &lists[ws.leaf_pos[leaf]];
-                    let mut scratch = scratch_pool.take();
-                    let acc = gravity::accel_for_leaf_with(
-                        tree,
-                        &ws.moments,
-                        blocks,
-                        &ws.leaf_pos,
-                        leaf,
-                        far,
-                        near,
-                        kernels,
-                        &mut scratch,
-                    );
-                    scratch_pool.put(scratch);
-                    let state = hydro::step_interior_policy(
-                        tree.subgrid(leaf),
-                        dt,
-                        hydro_d,
-                        policy,
-                        state_pool,
-                        stage_pool,
-                    );
-                    *slot = Some(LeafOut {
-                        leaf,
-                        acc,
-                        state,
-                        far: far.len() as u64,
-                        near: near.len() as u64,
-                    });
-                });
-            }
-        });
-    }
-
-    // Apply.
-    let lanes = d.cfg.simd_policy().lanes() as u64;
-    let mut far_total = 0;
-    let mut near_total = 0;
-    let mut far_padded = 0;
-    for out in results.into_iter().map(|r| r.expect("scope done")) {
-        let grid = d.tree.subgrid_mut(out.leaf);
-        hydro::apply_interior(grid, &out.state);
-        hydro::apply_gravity_source(grid, &out.acc, dt);
-        d.state_pool.release(out.state);
-        far_total += out.far;
-        near_total += out.near;
-        far_padded += rv_machine::simd_padded_interactions(out.far, lanes);
-    }
-
-    let owned_cells = targets.len() as u64 * crate::subgrid::CELLS as u64;
-    let far_inter = far_padded * BLOCKS as u64;
-    let near_inter = near_total * (BLOCKS * BLOCKS) as u64;
-    // MAC evaluations are only executed on a cache miss (proxied by the
-    // list sizes, as in the node-level driver).
-    let mac_evals = if rebuilt { far_total + near_total } else { 0 };
-    let report = StepReport {
-        owned_cells,
-        far_interactions: far_inter,
-        near_interactions: near_inter,
-        hydro_flops: owned_cells * hydro::HYDRO_FLOPS_PER_CELL,
-        gravity_flops: far_inter * gravity::MULTIPOLE_FLOPS_PER_INTERACTION
-            + near_inter * gravity::MONOPOLE_FLOPS_PER_INTERACTION
-            + mac_evals * gravity::MAC_FLOPS_PER_EVAL,
-        bytes: owned_cells * hydro::HYDRO_BYTES_PER_CELL,
-        mac_evals,
-    };
-    d.work.hydro_flops += report.hydro_flops;
-    d.work.gravity_flops += report.gravity_flops;
-    d.work.bytes += report.bytes;
-    d.work.far_interactions += report.far_interactions;
-    d.work.near_interactions += report.near_interactions;
-    d.work.mac_evals += report.mac_evals;
-    report
 }
 
 /// Entry point for distributed runs.
@@ -568,216 +369,161 @@ pub struct DistRun;
 impl DistRun {
     /// Execute a distributed rotating-star run and collect [`DistMetrics`].
     pub fn execute(config: DistConfig) -> DistMetrics {
-        assert!(
-            (1..=2).contains(&config.nodes),
-            "the in-house cluster has two boards"
-        );
-        let cluster = Cluster::new(ClusterConfig {
-            localities: config.nodes,
-            threads_per_locality: config.threads_per_node,
-            backend: config.backend,
-            coalesce: config.coalesce,
-        });
-        register_actions(&cluster);
-
-        // Create one domain component per locality.
-        let mut gids: Vec<Gid> = Vec::new();
-        let mut owned_per_node = Vec::new();
-        let mut leaf_count = 0;
-        for node in 0..config.nodes {
-            let domain = build_domain(config.octo.clone(), node, config.nodes);
-            leaf_count = domain.tree.leaf_count();
-            owned_per_node.push(domain.owned.iter().filter(|&&o| o).count());
-            let loc = cluster.locality(node);
-            gids.push(loc.new_component(domain));
-        }
-        let cell_count = leaf_count * crate::subgrid::CELLS;
-        let supervisor = cluster.locality(0);
-        cluster.reset_net_stats();
-
-        let peer_of = |i: usize| -> Option<Gid> {
-            if config.nodes == 2 {
-                Some(gids[1 - i])
-            } else {
-                None
-            }
-        };
-
-        let tracing = config.octo.trace_out.is_some();
-        if tracing {
-            trace::reset();
-            trace::set_enabled(true);
-        }
-        // The supervising thread gets its own Chrome lane, distinct from
-        // every locality pid: its phase envelopes span whole remote
-        // exchanges, and folding them into locality 0's lane would hide
-        // the wire legs from the distributed critical-path analysis.
-        trace::set_thread_label(config.nodes, trace::ThreadLabel::Named("driver"));
-        let mut registry = CounterRegistry::new();
-        cluster.register_counters(&mut registry);
-        let registry = std::sync::Arc::new(registry);
-        let sampler = config.octo.sample_interval_ms.map(|ms| {
-            apex_lite::Sampler::start(
-                std::sync::Arc::clone(&registry),
-                std::time::Duration::from_millis(ms),
-            )
-        });
-        let mut prev = registry.sample();
-        let mut step_deltas: Vec<CounterSnapshot> = Vec::new();
-
-        let start = std::time::Instant::now();
-        let steps = config.octo.stop_step;
-        for step in 0..steps {
-            // Stamp the step index so queue-depth high-water marks can be
-            // attributed to the step that produced them.
-            cluster.note_step(u64::from(step));
-            // Phase barriers driven from the supervisor, mirroring the
-            // paper's supervisor/delegate roles.
-            let barrier_u64 = |action: &str, with_peer: bool| {
-                let futs: Vec<amt::Future<u64>> = gids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &g)| {
-                        if with_peer {
-                            supervisor.invoke(g, action, &peer_of(i))
-                        } else {
-                            supervisor.invoke(g, action, &())
-                        }
-                    })
-                    .collect();
-                amt::when_all(futs).get();
-            };
-            {
-                let _span = trace::span(Cat::Phase, "halo_exchange");
-                barrier_u64("prepare_halo", false);
-                barrier_u64("pull_halo", true);
-            }
-            let dt = {
-                let _span = trace::span(Cat::Phase, "cfl_reduction");
-                let rates: Vec<f64> = amt::when_all(
-                    gids.iter()
-                        .map(|&g| supervisor.invoke(g, "local_max_rate", &()))
-                        .collect(),
-                )
-                .get();
-                config.octo.cfl / rates.iter().copied().fold(1e-30_f64, f64::max)
-            };
-            {
-                // P2M + block exchange: the distributed gravity front half.
-                let _span = trace::span(Cat::Phase, "gravity_solve");
-                barrier_u64("prepare_blocks", false);
-            }
-            {
-                // FMM + hydro + apply, fused per locality in `solve_step`.
-                let _span = trace::span(Cat::Phase, "hydro_step");
-                let _reports: Vec<StepReport> = amt::when_all(
-                    gids.iter()
-                        .enumerate()
-                        .map(|(i, &g)| supervisor.invoke(g, "solve_step", &(dt, peer_of(i))))
-                        .collect(),
-                )
-                .get();
-            }
-            if config.octo.counter_table {
-                let cur = registry.sample();
-                step_deltas.push(cur.delta(&prev));
-                prev = cur;
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        // Close any open coalescer batches so the port counters are final.
-        {
-            let _span = trace::span(Cat::Phase, "comm_flush");
-            cluster.flush_network();
-        }
-
-        // Aggregate work counters.
-        let mut work = WorkEstimate::default();
-        let mut counters = registry.sample();
-        for (i, &g) in gids.iter().enumerate() {
-            let loc = cluster.locality(i as u32);
-            let (w, cache) = loc
-                .with_component::<Domain, _>(g, |d| (d.work, d.interaction_cache.stats()))
-                .expect("domain component");
-            work.hydro_flops += w.hydro_flops;
-            work.gravity_flops += w.gravity_flops;
-            work.bytes += w.bytes;
-            work.far_interactions += w.far_interactions;
-            work.near_interactions += w.near_interactions;
-            work.ghost_samples += w.ghost_samples;
-            work.ghost_slab_bytes += w.ghost_slab_bytes;
-            work.mac_evals += w.mac_evals;
-            counters.set_count(format!("/gravity/locality{i}/cache_hits"), cache.hits);
-            counters.set_count(format!("/gravity/locality{i}/cache_misses"), cache.misses);
-        }
-        counters.set_count("/gravity/far_interactions", work.far_interactions);
-        counters.set_count("/gravity/near_interactions", work.near_interactions);
-        counters.set_count("/gravity/mac_evals", work.mac_evals);
-        counters.set_count("/work/hydro_flops", work.hydro_flops);
-        counters.set_count("/work/gravity_flops", work.gravity_flops);
-        counters.set_count("/work/bytes", work.bytes);
-        counters.set_count("/work/ghost_samples", work.ghost_samples);
-        counters.set_count("/work/ghost_slab_bytes", work.ghost_slab_bytes);
-        rv_machine::energy_counters_into(
-            &mut counters,
-            rv_machine::CpuArch::Jh7110,
-            config.nodes,
-            config.threads_per_node as u32,
-            elapsed,
-        );
-        if config.octo.counter_table {
-            print!(
-                "{}",
-                apex_lite::render_step_table("distributed per-step counters", &step_deltas)
-            );
-            print!(
-                "{}",
-                apex_lite::render_table("distributed run totals", &counters)
-            );
-        }
-        // Wind down the sampler (if any) before exporting: its series ride
-        // along in the Chrome trace as `"C"` counter events and back the
-        // `--metrics-out` CSV dump.
-        let mut series = match sampler {
-            Some(s) => s.stop(),
-            None => apex_lite::TimeSeries::default(),
-        };
-        if config.octo.metrics_out.is_some() && series.samples == 0 {
-            // No cadence requested: still emit a one-shot final snapshot so
-            // the CSV is never empty.
-            series.push(trace::now_ns(), &counters);
-        }
-        if let Some(path) = &config.octo.metrics_out {
-            if let Err(e) = std::fs::write(path, series.render_csv()) {
-                eprintln!("warning: failed to write metrics to {path}: {e}");
-            }
-        }
-        if let Some(path) = &config.octo.trace_out {
-            trace::set_enabled(false);
-            let t = trace::drain();
-            if let Err(e) = std::fs::write(path, apex_lite::export_with_counters(&t, &series)) {
-                eprintln!("warning: failed to write trace to {path}: {e}");
-            }
-        }
-
-        let cells_processed = cell_count as u64 * u64::from(steps);
-        DistMetrics {
-            nodes: config.nodes,
-            steps,
-            leaf_count,
-            cell_count,
-            cells_processed,
-            elapsed_seconds: elapsed,
-            cells_per_second: cells_processed as f64 / elapsed.max(1e-12),
-            net: cluster.net_stats(),
-            port: cluster.port_stats(),
-            work,
-            runtime_stats: cluster.runtime_stats(),
-            owned_per_node,
-            counters,
-            counter_samples: series.samples,
-        }
+        run(config).0
     }
+}
+
+/// Run `config` and hand back the still-live cluster and the per-locality
+/// domain components, so tests can read the final state.
+fn run(config: DistConfig) -> (DistMetrics, Cluster, Vec<Gid>) {
+    assert!(
+        (1..=2).contains(&config.nodes),
+        "the in-house cluster has two boards"
+    );
+    let cluster = Cluster::new(ClusterConfig {
+        localities: config.nodes,
+        threads_per_locality: config.threads_per_node,
+        backend: config.backend,
+        coalesce: config.coalesce,
+    });
+    register_actions(&cluster);
+
+    // Create one domain component per locality.
+    let mut gids: Vec<Gid> = Vec::new();
+    let mut owned_per_node = Vec::new();
+    let mut leaf_count = 0;
+    for node in 0..config.nodes {
+        let domain = build_domain(config.octo.clone(), node, config.nodes);
+        leaf_count = domain.driver.tree().leaf_count();
+        owned_per_node.push(domain.owned.len());
+        gids.push(cluster.locality(node).new_component(domain));
+    }
+    let cell_count = leaf_count * CELLS;
+    let supervisor = cluster.locality(0);
+    cluster.reset_net_stats();
+
+    let peer_of = |i: usize| -> Option<Gid> {
+        if config.nodes == 2 {
+            Some(gids[1 - i])
+        } else {
+            None
+        }
+    };
+
+    let mut registry = CounterRegistry::new();
+    cluster.register_counters(&mut registry);
+    let mut harness = RunHarness::start(&config.octo, registry);
+    // The supervising thread gets its own Chrome lane, distinct from
+    // every locality pid: its phase envelopes span whole remote
+    // exchanges, and folding them into locality 0's lane would hide
+    // the wire legs from the distributed critical-path analysis.
+    trace::set_thread_label(config.nodes, trace::ThreadLabel::Named("driver"));
+    harness.sample_step(CounterRegistry::sample);
+
+    let start = std::time::Instant::now();
+    let steps = config.octo.stop_step;
+    for step in 0..steps {
+        // Stamp the step index so queue-depth high-water marks can be
+        // attributed to the step that produced them.
+        cluster.note_step(u64::from(step));
+        // Phase barriers driven from the supervisor, mirroring the
+        // paper's supervisor/delegate roles.
+        let barrier_u64 = |action: &str, with_peer: bool| {
+            let futs: Vec<amt::Future<u64>> = gids
+                .iter()
+                .enumerate()
+                .map(|(i, &g)| {
+                    if with_peer {
+                        supervisor.invoke(g, action, &peer_of(i))
+                    } else {
+                        supervisor.invoke(g, action, &())
+                    }
+                })
+                .collect();
+            amt::when_all(futs).get();
+        };
+        {
+            let _span = trace::span(Cat::Phase, "halo_exchange");
+            barrier_u64("prepare_halo", false);
+            barrier_u64("pull_halo", true);
+        }
+        let dt = {
+            let _span = trace::span(Cat::Phase, "cfl_reduction");
+            let rates: Vec<f64> = amt::when_all(
+                gids.iter()
+                    .map(|&g| supervisor.invoke(g, "local_max_rate", &()))
+                    .collect(),
+            )
+            .get();
+            config.octo.cfl / rates.iter().copied().fold(1e-30_f64, f64::max)
+        };
+        {
+            // P2M + block exchange: the distributed gravity front half.
+            let _span = trace::span(Cat::Phase, "gravity_solve");
+            barrier_u64("prepare_blocks", false);
+        }
+        {
+            // Gravity back half + hydro + apply, per locality in `solve_step`.
+            let _span = trace::span(Cat::Phase, "hydro_step");
+            let receipts: Vec<StepReceipt> = amt::when_all(
+                gids.iter()
+                    .enumerate()
+                    .map(|(i, &g)| supervisor.invoke(g, "solve_step", &(dt, peer_of(i))))
+                    .collect(),
+            )
+            .get();
+            let stepped: u64 = receipts.iter().map(|r| r[0]).sum();
+            assert_eq!(stepped, cell_count as u64, "every cell stepped once");
+        }
+        harness.sample_step(CounterRegistry::sample);
+    }
+    let elapsed = start.elapsed().as_secs_f64();
+    // Close any open coalescer batches so the port counters are final.
+    {
+        let _span = trace::span(Cat::Phase, "comm_flush");
+        cluster.flush_network();
+    }
+
+    // Sum the localities' work; cache counters stay per locality.
+    let mut work = WorkEstimate::default();
+    let mut counters = harness.registry().sample();
+    for (i, &g) in gids.iter().enumerate() {
+        let (w, cache) = cluster
+            .locality(i as u32)
+            .with_component::<Domain, _>(g, |d| (d.driver.work(), d.driver.cache_stats()))
+            .expect("domain component");
+        work += w;
+        counters.set_count(format!("/gravity/locality{i}/cache_hits"), cache.hits);
+        counters.set_count(format!("/gravity/locality{i}/cache_misses"), cache.misses);
+    }
+    work.counters_into(&mut counters);
+    rv_machine::energy_counters_into(
+        &mut counters,
+        rv_machine::CpuArch::Jh7110,
+        config.nodes,
+        config.threads_per_node as u32,
+        elapsed,
+    );
+    let counter_samples = harness.finish("distributed", &counters);
+
+    let cells_processed = cell_count as u64 * u64::from(steps);
+    let metrics = DistMetrics {
+        nodes: config.nodes,
+        steps,
+        leaf_count,
+        cell_count,
+        cells_processed,
+        elapsed_seconds: elapsed,
+        cells_per_second: cells_processed as f64 / elapsed.max(1e-12),
+        net: cluster.net_stats(),
+        port: cluster.port_stats(),
+        work,
+        runtime_stats: cluster.runtime_stats(),
+        owned_per_node,
+        counters,
+        counter_samples,
+    };
+    (metrics, cluster, gids)
 }
 
 #[cfg(test)]
@@ -830,12 +576,93 @@ mod tests {
         );
     }
 
+    /// Interior data of every leaf a locality owns, keyed on leaf
+    /// position, after running `config`.
+    fn owned_final_state(config: DistConfig) -> Vec<(usize, Vec<f64>)> {
+        let (_, cluster, gids) = run(config);
+        let mut state = Vec::new();
+        for (i, &g) in gids.iter().enumerate() {
+            cluster
+                .locality(i as u32)
+                .with_component::<Domain, _>(g, |d| {
+                    for (&pos, &leaf) in d.owned_pos.iter().zip(&d.owned) {
+                        state.push((pos, d.driver.tree().subgrid(leaf).interior_data()));
+                    }
+                })
+                .expect("domain component");
+        }
+        state
+    }
+
+    fn host_tasks(octo: OctoConfig, n: usize) -> OctoConfig {
+        OctoConfig {
+            monopole_host_tasks: n,
+            multipole_host_tasks: n,
+            hydro_host_tasks: n,
+            ..octo
+        }
+    }
+
     #[test]
     fn two_node_matches_single_node_shape() {
-        let m1 = DistRun::execute(tiny(1, NetBackend::Tcp));
-        let m2 = DistRun::execute(tiny(2, NetBackend::Tcp));
-        assert_eq!(m1.leaf_count, m2.leaf_count);
-        assert_eq!(m1.cells_processed, m2.cells_processed);
+        // Every owned leaf ends bitwise equal to the node driver's, on one
+        // and two localities, whatever the aggregation batch sizes on
+        // either side and with the node step futurized or barriered.
+        for max_level in [2, 3] {
+            let octo = OctoConfig {
+                max_level,
+                stop_step: 3,
+                threads: 2,
+                ..OctoConfig::default()
+            };
+            let node_state = |futurize: bool, tasks: usize| {
+                let mut d = crate::Driver::new(OctoConfig {
+                    futurize,
+                    ..host_tasks(octo.clone(), tasks)
+                });
+                let rt = amt::Runtime::new(2);
+                for _ in 0..octo.stop_step {
+                    d.step(&rt);
+                }
+                let tree = d.tree();
+                let state: Vec<Vec<f64>> = tree
+                    .leaf_ids()
+                    .iter()
+                    .map(|&l| tree.subgrid(l).interior_data())
+                    .collect();
+                state
+            };
+            let reference = node_state(false, 1);
+            for futurize in [false, true] {
+                for tasks in [1, 4] {
+                    assert!(
+                        node_state(futurize, tasks) == reference,
+                        "node driver, level {max_level}, futurize {futurize}, host_tasks {tasks}"
+                    );
+                }
+            }
+            for nodes in [1, 2] {
+                for tasks in [1, 4] {
+                    let mut cfg = tiny(nodes, NetBackend::Tcp);
+                    cfg.octo = host_tasks(octo.clone(), tasks);
+                    let state = owned_final_state(cfg);
+                    let mut seen: Vec<usize> = state.iter().map(|(pos, _)| *pos).collect();
+                    seen.sort_unstable();
+                    assert_eq!(seen, (0..reference.len()).collect::<Vec<_>>());
+                    let differ = state
+                        .iter()
+                        .filter(|(pos, data)| *data != reference[*pos])
+                        .count();
+                    assert_eq!(
+                        differ,
+                        0,
+                        "{differ}/{} leaves differ: level {max_level}, {nodes} localities, \
+                         host_tasks {tasks}",
+                        state.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! multicore utilization even with the Kokkos Serial execution space.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use amt::par::scope;
 use amt::{Handle, Runtime};
@@ -64,6 +64,126 @@ impl WorkEstimate {
     /// Total flops.
     pub fn flops(&self) -> u64 {
         self.hydro_flops + self.gravity_flops
+    }
+
+    /// Write the `/gravity/…` interaction and `/work/…` counters.
+    pub(crate) fn counters_into(&self, snap: &mut CounterSnapshot) {
+        snap.set_count("/gravity/far_interactions", self.far_interactions);
+        snap.set_count("/gravity/near_interactions", self.near_interactions);
+        snap.set_count("/gravity/mac_evals", self.mac_evals);
+        snap.set_count("/work/hydro_flops", self.hydro_flops);
+        snap.set_count("/work/gravity_flops", self.gravity_flops);
+        snap.set_count("/work/bytes", self.bytes);
+        snap.set_count("/work/ghost_samples", self.ghost_samples);
+        snap.set_count("/work/ghost_slab_bytes", self.ghost_slab_bytes);
+    }
+}
+
+impl std::ops::AddAssign for WorkEstimate {
+    fn add_assign(&mut self, o: Self) {
+        self.hydro_flops += o.hydro_flops;
+        self.gravity_flops += o.gravity_flops;
+        self.bytes += o.bytes;
+        self.far_interactions += o.far_interactions;
+        self.near_interactions += o.near_interactions;
+        self.ghost_samples += o.ghost_samples;
+        self.ghost_slab_bytes += o.ghost_slab_bytes;
+        self.mac_evals += o.mac_evals;
+    }
+}
+
+/// The observability harness of a run, shared by [`Driver::run_on`] and
+/// [`DistRun`](crate::dist_driver::DistRun): trace reset/enable, the
+/// `--sample_interval_ms` sampler, the `--counter-table` per-step deltas
+/// and tables, the `--metrics-out` CSV and the `--trace-out` export.
+pub(crate) struct RunHarness {
+    registry: Arc<CounterRegistry>,
+    sampler: Option<apex_lite::Sampler>,
+    counter_table: bool,
+    metrics_out: Option<String>,
+    trace_out: Option<String>,
+    prev: Option<CounterSnapshot>,
+    step_deltas: Vec<CounterSnapshot>,
+}
+
+impl RunHarness {
+    /// Enable tracing if `--trace-out` asks for it and start the sampler
+    /// over `registry`.
+    pub(crate) fn start(config: &OctoConfig, registry: CounterRegistry) -> Self {
+        if config.trace_out.is_some() {
+            trace::reset();
+            trace::set_enabled(true);
+        }
+        let registry = Arc::new(registry);
+        let sampler = config
+            .sample_interval_ms
+            .map(|ms| apex_lite::Sampler::start(Arc::clone(&registry), Duration::from_millis(ms)));
+        RunHarness {
+            registry,
+            sampler,
+            counter_table: config.counter_table,
+            metrics_out: config.metrics_out.clone(),
+            trace_out: config.trace_out.clone(),
+            prev: None,
+            step_deltas: Vec::new(),
+        }
+    }
+
+    /// The shared counter registry.
+    pub(crate) fn registry(&self) -> &CounterRegistry {
+        &self.registry
+    }
+
+    /// Under `--counter-table`, take a snapshot with `sample` and record its
+    /// delta against the previous one; the first call sets the baseline.
+    pub(crate) fn sample_step(&mut self, sample: impl FnOnce(&CounterRegistry) -> CounterSnapshot) {
+        if !self.counter_table {
+            return;
+        }
+        let cur = sample(&self.registry);
+        if let Some(prev) = &self.prev {
+            self.step_deltas.push(cur.delta(prev));
+        }
+        self.prev = Some(cur);
+    }
+
+    /// Print the counter tables titled `title`, stop the sampler and write
+    /// the metrics CSV and the trace, with `counters` as the run's final
+    /// snapshot. Returns the sampler ticks taken.
+    pub(crate) fn finish(self, title: &str, counters: &CounterSnapshot) -> u64 {
+        if self.counter_table {
+            let steps = format!("{title} per-step counters");
+            print!(
+                "{}",
+                apex_lite::render_step_table(&steps, &self.step_deltas)
+            );
+            let totals = format!("{title} run totals");
+            print!("{}", apex_lite::render_table(&totals, counters));
+        }
+        // The sampler's series ride along in the Chrome trace as `"C"`
+        // counter events and back the `--metrics-out` CSV.
+        let mut series = match self.sampler {
+            Some(s) => s.stop(),
+            None => apex_lite::TimeSeries::default(),
+        };
+        if self.metrics_out.is_some() && series.samples == 0 {
+            // No cadence requested: one final sample so the CSV is never
+            // empty.
+            series.push(trace::now_ns(), counters);
+        }
+        if let Some(path) = &self.metrics_out {
+            if let Err(e) = std::fs::write(path, series.render_csv()) {
+                eprintln!("warning: failed to write metrics to {path}: {e}");
+            }
+        }
+        if let Some(path) = &self.trace_out {
+            trace::set_enabled(false);
+            let t = trace::drain();
+            if let Err(e) = std::fs::write(path, apex_lite::export_with_counters(&t, &series)) {
+                eprintln!("warning: failed to write trace to {path}: {e}");
+            }
+        }
+        series.samples
     }
 }
 
@@ -151,6 +271,10 @@ struct GravityHandoff {
     report: EnsureReport,
 }
 
+/// One leaf's SoA hydro staging view, built by the CFL pass and consumed by
+/// the hydro kernel of the same step.
+pub(crate) type StageSlot = Mutex<Option<HydroStage>>;
+
 /// The node-level simulation driver.
 pub struct Driver {
     tree: Octree,
@@ -158,9 +282,9 @@ pub struct Driver {
     sim_time: f64,
     work: WorkEstimate,
     /// cppuddle-style scratch-buffer pool for the hydro kernels.
-    pool: std::sync::Arc<RecyclePool<[f64; NF]>>,
+    pool: Arc<RecyclePool<[f64; NF]>>,
     /// Pool behind the SoA primitive staging views of the SIMD hydro path.
-    stage_pool: std::sync::Arc<RecyclePool<f64>>,
+    stage_pool: Arc<RecyclePool<f64>>,
     /// Gravity/hydro concurrency totals (futurized-mode latency hiding).
     overlap: OverlapTotals,
     /// Recycled gravity solve state (moments table, traversal order).
@@ -187,15 +311,14 @@ pub struct RegridReport {
     pub leaves_refined: usize,
 }
 
-/// Map every leaf through `f` in parallel (one task per leaf). Still used
-/// by the ghost exchange; the compute phases fan out through the
-/// aggregation regions instead.
-fn par_map_leaves<T, F>(handle: &Handle, tree: &Octree, f: F) -> Vec<T>
+/// Map every leaf of `leaves` through `f` in parallel (one task per
+/// leaf). Still used by the ghost exchange; the compute phases fan out
+/// through the aggregation regions instead.
+fn par_map_leaves<T, F>(handle: &Handle, leaves: &[NodeId], f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(NodeId) -> T + Send + Sync,
 {
-    let leaves = tree.leaf_ids();
     let mut out: Vec<Option<T>> = (0..leaves.len()).map(|_| None).collect();
     scope(handle, |sc| {
         for (slot, &leaf) in out.iter_mut().zip(leaves) {
@@ -226,8 +349,8 @@ impl Driver {
             config,
             sim_time: 0.0,
             work: WorkEstimate::default(),
-            pool: std::sync::Arc::new(RecyclePool::new()),
-            stage_pool: std::sync::Arc::new(RecyclePool::new()),
+            pool: Arc::new(RecyclePool::new()),
+            stage_pool: Arc::new(RecyclePool::new()),
             overlap: OverlapTotals::default(),
             gravity_ws: GravityWorkspace::new(),
             interaction_cache: InteractionCache::new(),
@@ -241,6 +364,12 @@ impl Driver {
     /// The underlying octree.
     pub fn tree(&self) -> &Octree {
         &self.tree
+    }
+
+    /// The octree, mutably: a distributed run installs its peer's halo
+    /// leaves here.
+    pub(crate) fn tree_mut(&mut self) -> &mut Octree {
+        &mut self.tree
     }
 
     /// The active configuration.
@@ -262,13 +391,15 @@ impl Driver {
         }
     }
 
-    /// Ghost exchange: parallel per-leaf gather, serial scatter. Shared by
-    /// both step modes (it runs before any of the step's compute tasks).
-    fn exchange_ghosts(&mut self, handle: &Handle, leaves: &[NodeId]) {
+    /// Ghost exchange over `leaves`: parallel per-leaf gather, serial
+    /// scatter. Shared by both step modes (it runs before any of the step's
+    /// compute tasks) and by each locality of a
+    /// [`DistRun`](crate::dist_driver::DistRun) over its owned leaves.
+    pub(crate) fn exchange_ghosts(&mut self, handle: &Handle, leaves: &[NodeId]) {
         let _span = trace::span(Cat::Phase, "ghost_exchange");
         let ghost_data = {
             let tree = &self.tree;
-            par_map_leaves(handle, tree, |leaf| {
+            par_map_leaves(handle, leaves, |leaf| {
                 Face::ALL
                     .into_iter()
                     .map(|face| (face, tree.ghost_data_for(leaf, face)))
@@ -286,66 +417,75 @@ impl Driver {
     /// task barrier (the seed's structure, kept as the `--futurize=off`
     /// ablation the bench compares against). Each phase fans out through an
     /// [`AggregationRegion`], so one task covers `--*_host_tasks` leaves;
-    /// batch size 1 reproduces the per-leaf launches bitwise.
+    /// batch size 1 reproduces the per-leaf launches bitwise. A distributed
+    /// run drives the same phases over each locality's owned leaves, with
+    /// its exchanges in between.
     fn step_barriered(&mut self, runtime: &Runtime) -> f64 {
         let handle = runtime.handle();
-        let hydro_dispatch = Dispatch::new(self.config.hydro_kernel, &handle, 4);
-        let multipole_dispatch = Dispatch::new(self.config.multipole_kernel, &handle, 4);
-        let monopole_dispatch = Dispatch::new(self.config.monopole_kernel, &handle, 4);
-        let policy = self.config.simd_policy();
-        let agg_cfg = self.config.aggregation();
-
-        // 1. Ghost exchange.
         let leaves: Vec<NodeId> = self.tree.leaf_ids().to_vec();
         self.exchange_ghosts(&handle, &leaves);
-        let n = leaves.len();
-
-        let hctx = HydroBatchCtx {
-            tree: &self.tree,
-            leaves: &leaves,
-            dispatch: &hydro_dispatch,
-            policy,
-            state_pool: &self.pool,
-            stage_pool: &self.stage_pool,
+        let (max_rate, stages) = {
+            let _span = trace::span(Cat::Phase, "cfl_reduction");
+            self.cfl_phase(&handle, &leaves)
         };
+        let dt = self.config.cfl / max_rate;
+        let (accels, report) = {
+            let _span = trace::span(Cat::Phase, "gravity_solve");
+            let blocks = self.p2m_phase(&handle, &leaves);
+            self.gravity_phase(&handle, &leaves, &blocks)
+        };
+        let _span = trace::span(Cat::Phase, "hydro_step");
+        self.hydro_phase(&handle, &leaves, stages, dt, &accels, report);
+        dt
+    }
 
-        // 2. CFL time step (global max-signal-speed reduction). A vector
-        //    policy also builds each leaf's SoA staging view here; the tree
-        //    is immutable until the apply phase, so the hydro kernel below
-        //    reuses it instead of staging twice.
-        let cfl_span = trace::span(Cat::Phase, "cfl_reduction");
+    /// CFL over `leaves`: the largest signal speed / dx, folded from 1e-30
+    /// in leaf order. A vector policy also builds each leaf's SoA staging
+    /// view here; the tree is immutable until the apply, so
+    /// [`Self::hydro_phase`] reuses the returned stages instead of staging
+    /// twice.
+    pub(crate) fn cfl_phase(&self, handle: &Handle, leaves: &[NodeId]) -> (f64, Vec<StageSlot>) {
+        let n = leaves.len();
+        let dispatch = Dispatch::new(self.config.hydro_kernel, handle, 4);
+        let hctx = self.hydro_ctx(leaves, &dispatch);
         let speeds: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let stage_slots: Vec<Mutex<Option<HydroStage>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        aggregate::for_each_batch(&handle, n, agg_cfg.hydro, &self.agg, |_, batch| {
-            aggregate::run_cfl_batch(&hctx, batch, false, &speeds, &stage_slots)
+        let stages: Vec<StageSlot> = (0..n).map(|_| Mutex::new(None)).collect();
+        let cap = self.config.hydro_host_tasks;
+        aggregate::for_each_batch(handle, n, cap, &self.agg, |_, batch| {
+            aggregate::run_cfl_batch(&hctx, batch, false, &speeds, &stages)
         });
         let max_rate = speeds
             .iter()
             .map(|s| f64::from_bits(s.load(Ordering::Acquire)))
             .fold(1e-30_f64, f64::max);
-        let dt = self.config.cfl / max_rate;
-        drop(cfl_span);
+        (max_rate, stages)
+    }
 
-        // 3. Gravity: P2M (batched) → M2M (serial, recycled workspace) →
-        //    interaction lists (cached across steps) → FMM kernels (batched
-        //    fused streams, recycled batch scratch).
-        let g_env = Envelope::new();
-        let h_env = Envelope::new();
-        let gravity_span = trace::span(Cat::Phase, "gravity_solve");
-        let block_slots: Vec<Mutex<Option<BlockSoA>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        {
-            let tree = &self.tree;
-            let leaves = &leaves;
-            aggregate::for_each_batch(&handle, n, agg_cfg.multipole, &self.agg, |_, batch| {
-                aggregate::run_p2m_batch(tree, leaves, batch, false, &block_slots)
-            });
-        }
-        let blocks: Vec<BlockSoA> = block_slots
+    /// P2M over `leaves` (batched): one block table entry per leaf, slice
+    /// order.
+    pub(crate) fn p2m_phase(&self, handle: &Handle, leaves: &[NodeId]) -> Vec<BlockSoA> {
+        let n = leaves.len();
+        let slots: Vec<Mutex<Option<BlockSoA>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let cap = self.config.multipole_host_tasks;
+        aggregate::for_each_batch(handle, n, cap, &self.agg, |_, batch| {
+            aggregate::run_p2m_batch(&self.tree, leaves, batch, false, &slots)
+        });
+        slots
             .into_iter()
             .map(|m| m.into_inner().expect("block slot").expect("p2m done"))
-            .collect();
-        self.gravity_ws.upward_pass(&self.tree, &blocks);
+            .collect()
+    }
+
+    /// Gravity for `leaves` from the complete leaf-order block table: M2M
+    /// (serial, recycled workspace) → interaction lists (cached across
+    /// steps) → FMM kernels (batched fused streams, recycled batch scratch).
+    pub(crate) fn gravity_phase(
+        &mut self,
+        handle: &Handle,
+        leaves: &[NodeId],
+        blocks: &[BlockSoA],
+    ) -> (Vec<AccelEntry>, EnsureReport) {
+        self.gravity_ws.upward_pass(&self.tree, blocks);
         if !self.config.use_interaction_cache {
             // Cache-off ablation: force the dual traversal every step.
             self.interaction_cache.invalidate();
@@ -353,65 +493,94 @@ impl Driver {
         let report =
             self.interaction_cache
                 .ensure(&self.tree, &self.gravity_ws.moments, self.config.theta);
-        let accel_slots: Vec<AccelSlot> = (0..n).map(|_| Mutex::new(None)).collect();
-        {
-            let kernels = GravityKernels {
-                multipole: &multipole_dispatch,
-                monopole: &monopole_dispatch,
-                simd: policy,
-            };
-            let gctx = GravityBatchCtx {
-                tree: &self.tree,
-                moments: &self.gravity_ws.moments,
-                blocks: &blocks,
-                leaf_pos: &self.gravity_ws.leaf_pos,
-                leaves: &leaves,
-                lists: self.interaction_cache.lists(),
-                kernels: &kernels,
-                scratch: &self.batch_scratch,
-            };
-            let g_env = &g_env;
-            aggregate::run_gravity_stage(
-                &handle,
-                &gctx,
-                agg_cfg,
-                &self.agg,
-                false,
-                &|s, e| g_env.record(s, e),
-                &accel_slots,
-            );
-        }
-        let accels: Vec<AccelEntry> = accel_slots
+        let multipole = Dispatch::new(self.config.multipole_kernel, handle, 4);
+        let monopole = Dispatch::new(self.config.monopole_kernel, handle, 4);
+        let kernels = GravityKernels {
+            multipole: &multipole,
+            monopole: &monopole,
+            simd: self.config.simd_policy(),
+        };
+        let gctx = GravityBatchCtx {
+            tree: &self.tree,
+            moments: &self.gravity_ws.moments,
+            blocks,
+            leaf_pos: &self.gravity_ws.leaf_pos,
+            leaves,
+            lists: self.interaction_cache.lists(),
+            kernels: &kernels,
+            scratch: &self.batch_scratch,
+        };
+        let slots: Vec<AccelSlot> = (0..leaves.len()).map(|_| Mutex::new(None)).collect();
+        let agg_cfg = self.config.aggregation();
+        aggregate::run_gravity_stage(handle, &gctx, agg_cfg, &self.agg, false, &|_, _| {}, &slots);
+        let accels = slots
             .into_iter()
             .map(|m| m.into_inner().expect("accel slot").expect("gravity done"))
             .collect();
-        drop(gravity_span);
+        (accels, report)
+    }
 
-        // 4. Hydro kernels (batched, pure): each batch writes one fused
-        //    state buffer — a batch-sized class of the recycle pool.
-        let hydro_span = trace::span(Cat::Phase, "hydro_step");
-        let n_hydro_batches = AggregationRegion::batch_count(n, agg_cfg.hydro);
+    /// Hydro kernels over `leaves` (batched, pure: each batch writes one
+    /// fused state buffer, a batch-sized class of the recycle pool), then
+    /// the serial apply of hydro updates and gravity sources, then the
+    /// step's accounting.
+    pub(crate) fn hydro_phase(
+        &mut self,
+        handle: &Handle,
+        leaves: &[NodeId],
+        stages: Vec<StageSlot>,
+        dt: f64,
+        accels: &[AccelEntry],
+        report: EnsureReport,
+    ) {
+        let n = leaves.len();
+        let cap = self.config.hydro_host_tasks;
         let batch_states: Vec<Mutex<Option<Vec<[f64; NF]>>>> =
-            (0..n_hydro_batches).map(|_| Mutex::new(None)).collect();
+            (0..AggregationRegion::batch_count(n, cap))
+                .map(|_| Mutex::new(None))
+                .collect();
         {
-            let h_env = &h_env;
-            let (hctx, stage_slots, batch_states) = (&hctx, &stage_slots, &batch_states);
-            aggregate::for_each_batch(&handle, n, agg_cfg.hydro, &self.agg, |bid, batch| {
+            let dispatch = Dispatch::new(self.config.hydro_kernel, handle, 4);
+            let hctx = self.hydro_ctx(leaves, &dispatch);
+            aggregate::for_each_batch(handle, n, cap, &self.agg, |bid, batch| {
                 aggregate::run_hydro_batch(
-                    hctx,
+                    &hctx,
                     batch,
                     dt,
                     false,
-                    &|s, e| h_env.record(s, e),
-                    stage_slots,
+                    &|_, _| {},
+                    &stages,
                     &batch_states[bid],
                 )
             });
         }
+        self.apply(leaves, batch_states, accels, dt);
+        self.account_step(leaves, accels, report);
+    }
 
-        // 5. Apply hydro update + gravity source terms: walk the fused
-        //    buffers in batch order and slice leaves back out — the same
-        //    leaf order (and the same bits) as the per-leaf apply.
+    /// The CFL/hydro batch context over `leaves`.
+    fn hydro_ctx<'a>(&'a self, leaves: &'a [NodeId], dispatch: &'a Dispatch) -> HydroBatchCtx<'a> {
+        HydroBatchCtx {
+            tree: &self.tree,
+            leaves,
+            dispatch,
+            policy: self.config.simd_policy(),
+            state_pool: &self.pool,
+            stage_pool: &self.stage_pool,
+        }
+    }
+
+    /// Serial apply, shared by both step modes: walk the fused hydro
+    /// buffers in batch order and slice leaves back out — the same leaf
+    /// order (and the same bits) as the per-leaf apply — adding each leaf's
+    /// hydro update and gravity source terms; then advance the clock.
+    fn apply(
+        &mut self,
+        leaves: &[NodeId],
+        batch_states: Vec<Mutex<Option<Vec<[f64; NF]>>>>,
+        accels: &[AccelEntry],
+        dt: f64,
+    ) {
         let mut pos = 0usize;
         for slot in batch_states {
             let fused = slot.into_inner().expect("state slot").expect("hydro done");
@@ -423,13 +592,12 @@ impl Driver {
             }
             self.pool.release(fused);
         }
-        assert_eq!(pos, n, "fused batches cover every leaf exactly once");
-        drop(hydro_span);
-
-        self.accumulate_overlap(&g_env, &h_env);
-        self.account_step(&leaves, &accels, report);
+        assert_eq!(
+            pos,
+            leaves.len(),
+            "fused batches cover every leaf exactly once"
+        );
         self.sim_time += dt;
-        dt
     }
 
     /// The futurized step: one per-step task graph instead of four phase
@@ -481,8 +649,7 @@ impl Driver {
             Mutex::new(Some((ws_in, cache_in)));
 
         let speeds: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let stage_slots: Vec<Mutex<Option<HydroStage>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+        let stage_slots: Vec<StageSlot> = (0..n).map(|_| Mutex::new(None)).collect();
         let block_slots: Vec<Mutex<Option<BlockSoA>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let accel_slots: Vec<AccelSlot> = (0..n).map(|_| Mutex::new(None)).collect();
         let batch_states: Vec<Mutex<Option<Vec<[f64; NF]>>>> =
@@ -506,15 +673,7 @@ impl Driver {
                 simd: policy,
             };
             let kernels = &kernels;
-            let hctx = HydroBatchCtx {
-                tree,
-                leaves: &leaves,
-                dispatch: &hydro_dispatch,
-                policy,
-                state_pool: &self.pool,
-                stage_pool: &self.stage_pool,
-            };
-            let hctx = &hctx;
+            let hctx = &self.hydro_ctx(&leaves, &hydro_dispatch);
             let batch_scratch = &self.batch_scratch;
             let agg = &self.agg;
             let handle_ref = &handle;
@@ -670,22 +829,9 @@ impl Driver {
             .into_iter()
             .map(|m| m.into_inner().expect("accel slot").expect("gravity done"))
             .collect();
-        let mut pos = 0usize;
-        for slot in batch_states {
-            let fused = slot.into_inner().expect("state slot").expect("hydro done");
-            for k in 0..fused.len() / CELLS {
-                let grid = self.tree.subgrid_mut(leaves[pos]);
-                hydro::apply_interior(grid, &fused[k * CELLS..(k + 1) * CELLS]);
-                hydro::apply_gravity_source(grid, &accels[pos].0, dt);
-                pos += 1;
-            }
-            self.pool.release(fused);
-        }
-        assert_eq!(pos, n, "fused batches cover every leaf exactly once");
-
+        self.apply(&leaves, batch_states, &accels, dt);
         self.accumulate_overlap(&g_env, &h_env);
         self.account_step(&leaves, &accels, report);
-        self.sim_time += dt;
         dt
     }
 
@@ -724,7 +870,7 @@ impl Driver {
         // still occupies full vector lanes, and the projection must see
         // that waste. Near lists stream 64-block leaves (a multiple of
         // every width), so padding is a no-op there.
-        let cells = self.tree.cell_count() as u64;
+        let cells = (leaves.len() * CELLS) as u64;
         self.work.hydro_flops += cells * hydro::HYDRO_FLOPS_PER_CELL;
         self.work.bytes += cells * hydro::HYDRO_BYTES_PER_CELL;
         let lanes = self.config.simd_policy().lanes() as u64;
@@ -760,43 +906,27 @@ impl Driver {
     /// Chrome trace of the run (scheduler tasks, driver phases, gravity
     /// kernels) and `--counter-table` prints per-step counter deltas.
     pub fn run_on(&mut self, runtime: &Runtime) -> RunMetrics {
-        let tracing = self.config.trace_out.is_some();
-        if tracing {
-            trace::reset();
-            trace::set_enabled(true);
-        }
         let mut registry = CounterRegistry::new();
         runtime
             .handle()
             .register_counters(&mut registry, "/runtime");
         runtime.reset_stats();
-        // The background sampler shares the registry; the driver-owned
-        // counters (`counters_into`, borrowing `&self`) are folded into the
-        // final snapshot only — the time-series covers the registered
-        // providers (`/runtime/...` including the imbalance gauge).
-        let registry = std::sync::Arc::new(registry);
-        let sampler = self.config.sample_interval_ms.map(|ms| {
-            apex_lite::Sampler::start(
-                std::sync::Arc::clone(&registry),
-                std::time::Duration::from_millis(ms),
-            )
-        });
+        // The background sampler covers the registered providers
+        // (`/runtime/...` including the imbalance gauge); the driver-owned
+        // counters (`counters_into`, borrowing `&self`) join the per-step
+        // and final snapshots only.
+        let mut harness = RunHarness::start(&self.config, registry);
         let start = Instant::now();
         let mut steps = 0;
-        let mut prev = self.sample_counters(&registry);
-        let mut step_deltas: Vec<CounterSnapshot> = Vec::new();
+        harness.sample_step(|r| self.sample_counters(r));
         for _ in 0..self.config.stop_step {
             self.step(runtime);
             steps += 1;
-            if self.config.counter_table {
-                let cur = self.sample_counters(&registry);
-                step_deltas.push(cur.delta(&prev));
-                prev = cur;
-            }
+            harness.sample_step(|r| self.sample_counters(r));
         }
         let elapsed = start.elapsed().as_secs_f64();
         rv_machine::memory::note_arena_bytes(self.tree.resident_bytes());
-        let mut counters = self.sample_counters(&registry);
+        let mut counters = self.sample_counters(harness.registry());
         rv_machine::energy_counters_into(
             &mut counters,
             rv_machine::CpuArch::Jh7110,
@@ -804,38 +934,7 @@ impl Driver {
             runtime.worker_stats().len() as u32,
             elapsed,
         );
-        if self.config.counter_table {
-            print!(
-                "{}",
-                apex_lite::render_step_table("octotiger per-step counters", &step_deltas)
-            );
-            print!(
-                "{}",
-                apex_lite::render_table("octotiger run totals", &counters)
-            );
-        }
-        let mut series = match sampler {
-            Some(s) => s.stop(),
-            None => apex_lite::TimeSeries::default(),
-        };
-        if self.config.metrics_out.is_some() && series.samples == 0 {
-            // `--metrics-out` without a sampling cadence: one final sample
-            // (including the driver-owned counters) so the file is never
-            // empty.
-            series.push(trace::now_ns(), &counters);
-        }
-        if let Some(path) = &self.config.metrics_out {
-            if let Err(e) = std::fs::write(path, series.render_csv()) {
-                eprintln!("warning: failed to write metrics to {path}: {e}");
-            }
-        }
-        if let Some(path) = self.config.trace_out.clone() {
-            trace::set_enabled(false);
-            let t = trace::drain();
-            if let Err(e) = std::fs::write(&path, apex_lite::export_with_counters(&t, &series)) {
-                eprintln!("warning: failed to write trace to {path}: {e}");
-            }
-        }
+        let counter_samples = harness.finish("octotiger", &counters);
         let cell_count = self.tree.cell_count();
         let cells_processed = cell_count as u64 * u64::from(steps);
         RunMetrics {
@@ -852,7 +951,7 @@ impl Driver {
             overlap_ratio: self.overlap_ratio(),
             peak_rss_bytes: rv_machine::memory::peak_rss_bytes(),
             counters,
-            counter_samples: series.samples,
+            counter_samples,
         }
     }
 
@@ -879,14 +978,7 @@ impl Driver {
             "/runtime/peak_rss_bytes",
             rv_machine::memory::peak_rss_bytes(),
         );
-        snap.set_count("/gravity/far_interactions", self.work.far_interactions);
-        snap.set_count("/gravity/near_interactions", self.work.near_interactions);
-        snap.set_count("/gravity/mac_evals", self.work.mac_evals);
-        snap.set_count("/work/hydro_flops", self.work.hydro_flops);
-        snap.set_count("/work/gravity_flops", self.work.gravity_flops);
-        snap.set_count("/work/bytes", self.work.bytes);
-        snap.set_count("/work/ghost_samples", self.work.ghost_samples);
-        snap.set_count("/work/ghost_slab_bytes", self.work.ghost_slab_bytes);
+        self.work.counters_into(snap);
         snap.set_count("/runtime/overlap_ns", self.overlap.overlap_ns);
         snap.set_gauge("/runtime/overlap_ratio", self.overlap_ratio());
         let agg = self.agg.snapshot();

@@ -156,19 +156,6 @@ pub fn step_interior(sub: &SubGrid, dt: f64, dispatch: &Dispatch) -> Vec<[f64; N
     step_into(sub, dt, dispatch, vec![[0.0; NF]; CELLS])
 }
 
-/// [`step_interior`] drawing its output buffer from a cppuddle-style
-/// [`RecyclePool`] — the allocation-recycling path the production code uses
-/// for its thousands of per-sub-grid kernel launches per step. Release the
-/// buffer back to the pool after applying it.
-pub fn step_interior_pooled(
-    sub: &SubGrid,
-    dt: f64,
-    dispatch: &Dispatch,
-    pool: &RecyclePool<[f64; NF]>,
-) -> Vec<[f64; NF]> {
-    step_into(sub, dt, dispatch, pool.acquire(CELLS))
-}
-
 fn step_into(
     sub: &SubGrid,
     dt: f64,

@@ -13,9 +13,11 @@
 //!   task, so parallelism comes from concurrent kernel launches;
 //! * three kernel backends ([`kernel_backend::KernelType`]): legacy loops,
 //!   Kokkos-Serial and Kokkos-HPX — the configurations of Fig. 7;
-//! * a [`driver::Driver`] (node-level, §6.2.1) and a
-//!   [`dist_driver`] (two-locality distributed runs over TCP/MPI parcelport
-//!   models, §6.2.2) measuring *cells processed per second*;
+//! * one step engine, [`driver::Driver`] (node-level, §6.2.1), measuring
+//!   *cells processed per second*; [`dist_driver`] (two-locality runs over
+//!   TCP/MPI/LCI parcelport models, §6.2.2) is a wiring layer over it: each
+//!   locality's `Driver` runs the barriered phases over the leaves it owns,
+//!   honouring `--*_host_tasks` and ignoring `--futurize`;
 //! * the `rotating_star` scenario ([`star::RotatingStar`]): an n = 3/2
 //!   Lane–Emden polytrope in solid-body rotation.
 

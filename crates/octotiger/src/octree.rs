@@ -516,6 +516,13 @@ impl Octree {
         self.subgrids[id].is_some()
     }
 
+    /// Free a leaf's field data but keep the leaf in the topology (a
+    /// distributed replica drops the remote leaves it never reads); any
+    /// later access to its sub-grid panics.
+    pub(crate) fn release_subgrid(&mut self, id: NodeId) {
+        self.subgrids[id] = None;
+    }
+
     /// Node id at exactly `(level, coords)`, if that node exists.
     pub fn node_at(&self, level: u32, coords: [u32; 3]) -> Option<NodeId> {
         self.index.get(&key(level, coords)).map(|&id| id as usize)

@@ -10,6 +10,9 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== octotiger unit tests (release; includes distributed == node-level, bitwise) =="
+cargo test -q --release -p octotiger
+
 echo "== SIMD/scalar kernel agreement =="
 cargo test -q -p octotiger dispatch_backends_agree_on_gravity
 cargo test -q --test simd_gravity_prop
